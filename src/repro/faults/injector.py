@@ -10,8 +10,9 @@ FaultPlan` for one run.  Injection points across the stack call
   decision is taken immediately, but the effect fires inside the
   returned callable, on whichever worker runs it, so retry machinery
   sees an ordinary task failure.
-* ``fire(site, target, path=...)`` — used inside tasks and around
-  file reads: raises / sleeps / bit-flips the file on the spot.
+* ``fire(site, target, path=..., byte_range=...)`` — used inside
+  tasks and around file reads: raises / sleeps / bit-flips the file
+  (or one byte range of it) on the spot.
 * ``note_recovery(site, target)`` — called by the layer that healed
   (a retry that succeeded, a cache that quarantined-and-recomputed);
   ticks ``faults.recovered`` and the recovery-latency histogram when
@@ -105,15 +106,22 @@ class _FaultedCall:
         return self.fn(*args, **kwargs)
 
 
-def _flip_bytes(path, offsets: Tuple[float, ...] = (0.4, 0.6, 0.8)) -> None:
+def _flip_bytes(path, offsets: Tuple[float, ...] = (0.4, 0.6, 0.8),
+                byte_range: Optional[Tuple[int, int]] = None) -> None:
     """Bit-flip a few bytes of ``path`` in place (real corruption, so
-    detection exercises the same checksum machinery as a rotten disk)."""
+    detection exercises the same checksum machinery as a rotten disk).
+
+    ``byte_range`` confines the flips to ``[start, end)`` of the file,
+    e.g. one block's bytes in a packed store file.
+    """
     size = os.path.getsize(path)
-    if size == 0:
+    start, end = byte_range if byte_range is not None else (0, size)
+    end = min(end, size)
+    if end <= start:
         return
     with open(path, "r+b") as handle:
         for fraction in offsets:
-            position = min(size - 1, int(size * fraction))
+            position = min(end - 1, start + int((end - start) * fraction))
             handle.seek(position)
             byte = handle.read(1)
             handle.seek(position)
@@ -133,7 +141,8 @@ class NullInjector:
     def decide(self, site: str, target: str) -> None:
         return None
 
-    def fire(self, site: str, target: str, path=None) -> None:
+    def fire(self, site: str, target: str, path=None,
+             byte_range=None) -> None:
         return None
 
     def wrap_callable(
@@ -206,14 +215,16 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # effects
     # ------------------------------------------------------------------
-    def fire(self, site: str, target: str, path=None
+    def fire(self, site: str, target: str, path=None,
+             byte_range: Optional[Tuple[int, int]] = None
              ) -> Optional[FaultDecision]:
         """Decide and apply the effect on the spot.
 
         ``raise``/``crash-worker`` raise; ``delay`` sleeps; ``corrupt``
-        bit-flips ``path`` (when given) so the caller's own integrity
-        checking must catch it; ``drop-output`` is returned to the
-        caller, which owns the discarding.
+        bit-flips ``path`` (when given; only inside ``byte_range`` when
+        that is given too) so the caller's own integrity checking must
+        catch it; ``drop-output`` is returned to the caller, which owns
+        the discarding.
         """
         decision = self.decide(site, target)
         if decision is None:
@@ -232,7 +243,7 @@ class FaultInjector:
         elif spec.kind == "corrupt" and path is not None and os.path.exists(
             path
         ):
-            _flip_bytes(path)
+            _flip_bytes(path, byte_range=byte_range)
         return decision
 
     def wrap_callable(

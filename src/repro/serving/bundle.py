@@ -63,20 +63,18 @@ class FactorBundle:
 def bundle_fingerprint(study: str, entry, ranks, method: str) -> str:
     """Content address of a study's bundle.
 
-    Keyed on the stored tensor's identity (shape, nnz, block layout)
-    plus the decomposition request — re-registering a study with new
-    data or new ranks yields a new address, so stale bundles can never
-    shadow fresh ones.
+    Keyed on the stored tensor's content digest (built from the store's
+    per-block digests) plus the decomposition request — re-registering
+    a study with new data, even of the same shape and nnz, or with new
+    ranks yields a new address, so stale bundles can never shadow fresh
+    ones.
     """
     return fingerprint(
         "serving.bundle",
         {
             "version": BUNDLE_CODEC_VERSION,
             "study": study,
-            "shape": list(entry.shape),
-            "nnz": int(entry.nnz),
-            "n_blocks": int(entry.n_blocks),
-            "block_shape": list(entry.block_shape),
+            "tensor": entry.digest,
             "ranks": [int(r) for r in ranks],
             "method": method,
         },

@@ -2,7 +2,7 @@
 
 Multi-tenancy is directory-sharded: every registered study gets its
 *own* :class:`~repro.storage.BlockTensorStore` under
-``<root>/shards/<key>/`` — its own block files and its own
+``<root>/shards/<key>/`` — its own packed data file and its own
 ``catalog.json`` — so slice and residual reads for different studies
 never touch a shared file or a shared in-memory catalog.  The serving
 catalog itself is one small ``studies.json`` at the root mapping study

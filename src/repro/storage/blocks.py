@@ -10,7 +10,7 @@ by a fixed ``block_shape``; each non-empty tile holds its cells in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
@@ -76,16 +76,38 @@ class BlockedLayout:
             for b, s, o in zip(self.block_shape, self.shape, origin)
         )
 
-    def blocks_touching_slice(self, mode: int, index: int) -> Iterator[BlockId]:
-        """Block ids intersecting the hyperplane ``mode = index``."""
+    def slice_tile(self, mode: int, index: int) -> int:
+        """Tile index, along ``mode``, of the hyperplane ``mode = index``."""
         if not 0 <= mode < len(self.shape):
             raise StorageError(f"mode {mode} out of range")
         if not 0 <= index < self.shape[mode]:
             raise StorageError(f"index {index} out of range for mode {mode}")
-        target = index // self.block_shape[mode]
+        return index // self.block_shape[mode]
+
+    def blocks_touching_slice(self, mode: int, index: int) -> Iterator[BlockId]:
+        """Block ids intersecting the hyperplane ``mode = index``."""
+        target = self.slice_tile(mode, index)
         for block in np.ndindex(*self.grid_shape):
             if block[mode] == target:
                 yield tuple(int(b) for b in block)
+
+
+def sort_by_block(
+    layout: BlockedLayout, coords: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, List[BlockId]]:
+    """Group cells by block: the stable order of ``coords`` rows by
+    (C-order) block id, where each block's run starts in the sorted
+    rows, and the non-empty block ids, ascending."""
+    flat = np.ravel_multi_index(
+        tuple(layout.block_of(coords).T), layout.grid_shape
+    )
+    order = np.argsort(flat, kind="stable")
+    flat = flat[order]
+    starts = np.flatnonzero(np.diff(flat, prepend=-1))
+    block_ids = [tuple(b) for b in np.stack(
+        np.unravel_index(flat[starts], layout.grid_shape), axis=1
+    ).tolist()]
+    return order, starts, block_ids
 
 
 def split_into_blocks(
@@ -101,27 +123,17 @@ def split_into_blocks(
         raise StorageError(
             f"tensor shape {tensor.shape} != layout shape {layout.shape}"
         )
+    order, starts, block_ids = sort_by_block(layout, tensor.coords)
+    coords = tensor.coords[order]
+    values = tensor.values[order]
+    ends = np.append(starts[1:], tensor.nnz)
     blocks: Dict[BlockId, SparseTensor] = {}
-    if tensor.nnz == 0:
-        return blocks
-    block_ids = layout.block_of(tensor.coords)
-    flat = np.ravel_multi_index(tuple(block_ids.T), layout.grid_shape)
-    order = np.argsort(flat, kind="stable")
-    flat_sorted = flat[order]
-    coords_sorted = tensor.coords[order]
-    values_sorted = tensor.values[order]
-    boundaries = np.flatnonzero(np.diff(flat_sorted)) + 1
-    starts = np.concatenate([[0], boundaries])
-    ends = np.concatenate([boundaries, [flat_sorted.shape[0]]])
-    for start, end in zip(starts, ends):
-        block_id = tuple(
-            int(i)
-            for i in np.unravel_index(flat_sorted[start], layout.grid_shape)
-        )
+    for block_id, start, end in zip(block_ids, starts, ends):
         origin = layout.block_origin(block_id)
-        local = coords_sorted[start:end] - origin[None, :]
         blocks[block_id] = SparseTensor(
-            layout.block_extent(block_id), local, values_sorted[start:end]
+            layout.block_extent(block_id),
+            coords[start:end] - origin[None, :],
+            values[start:end],
         )
     return blocks
 

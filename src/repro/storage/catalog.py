@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Dict, List, Tuple
 
@@ -11,11 +13,17 @@ from ..exceptions import StorageError
 from ..observability import get_metrics
 
 CATALOG_FILE = "catalog.json"
+#: Version 2 records the packed layout (``offsets`` + ``digests``).
+CATALOG_VERSION = 2
 
 
 @dataclass
 class TensorEntry:
-    """Catalog record for one stored tensor."""
+    """Catalog record for one stored tensor.
+
+    Block ``i`` (``block_ids`` is sorted) owns the packed file's cells
+    ``offsets[i]:offsets[i + 1]``; ``digests[i]`` is their SHA-256.
+    """
 
     name: str
     shape: Tuple[int, ...]
@@ -23,6 +31,18 @@ class TensorEntry:
     nnz: int
     n_blocks: int
     block_ids: List[Tuple[int, ...]]
+    offsets: List[int] = field(default_factory=lambda: [0])
+    digests: List[str] = field(default_factory=list)
+
+    @cached_property
+    def digest(self) -> str:
+        """Content address of the stored tensor: its geometry plus
+        every block's digest, so equal-shaped data with other values
+        gets another address.  Cached: serving asks for it on every
+        request, and an entry is never changed once stored."""
+        record = [list(self.shape), list(self.block_shape),
+                  [list(b) for b in self.block_ids], self.digests]
+        return hashlib.sha256(json.dumps(record).encode()).hexdigest()
 
     def to_json(self) -> Dict:
         record = asdict(self)
@@ -40,6 +60,8 @@ class TensorEntry:
             nnz=int(record["nnz"]),
             n_blocks=int(record["n_blocks"]),
             block_ids=[tuple(int(i) for i in b) for b in record["block_ids"]],
+            offsets=[int(i) for i in record["offsets"]],
+            digests=[str(d) for d in record["digests"]],
         )
 
 
@@ -59,6 +81,12 @@ class Catalog:
                 raw = json.load(handle)
         except (OSError, json.JSONDecodeError) as exc:
             raise StorageError(f"cannot read catalog {self.path}: {exc}") from exc
+        if raw.get("tensors") and raw.get("version") != CATALOG_VERSION:
+            raise StorageError(
+                f"catalog {self.path} records tensors in the per-block "
+                "'.npz' layout, which this version no longer reads; "
+                "store the tensors again in a new directory"
+            )
         self._entries = {
             name: TensorEntry.from_json(record)
             for name, record in raw.get("tensors", {}).items()
@@ -66,7 +94,7 @@ class Catalog:
 
     def _save(self) -> None:
         payload = {
-            "version": 1,
+            "version": CATALOG_VERSION,
             "tensors": {
                 name: entry.to_json() for name, entry in self._entries.items()
             },

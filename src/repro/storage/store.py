@@ -1,19 +1,27 @@
 """The block tensor store: persist sparse ensemble tensors on disk.
 
-A TensorDB-flavoured substrate (paper Section II-B): tensors are tiled
-into hyper-blocks (:mod:`repro.storage.blocks`), each non-empty block
-is one ``.npz`` file, and a JSON catalog tracks geometry.  Queries
-that need a slice or a single block read only the files they touch —
-the property that made in-database tensor decomposition practical in
-the systems the paper cites.
+A TensorDB-flavoured substrate (paper Section II-B): a tensor is tiled
+into hyper-blocks (:mod:`repro.storage.blocks`) and kept as one packed
+file, ``<name>/cells.bin``, holding every cell's ``int64`` coordinates
+sorted by block id, then the ``float64`` values in the same order.  The
+JSON catalog records the block ids, an ``offsets`` index (block ``i``
+owns cells ``offsets[i]:offsets[i + 1]``) and one SHA-256 digest per
+block.  Reads memory-map the file, slice out only the blocks a query
+touches and check each of those blocks' digests before returning any
+of its cells: a missing, truncated or altered file raises
+:class:`~repro.exceptions.BlockCorruptionError` instead of feeding
+garbage into a decomposition.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 import re
+import tempfile
+from bisect import bisect_left
 from pathlib import Path
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -21,25 +29,20 @@ from ..exceptions import BlockCorruptionError, StorageError
 from ..faults.injector import get_injector
 from ..observability import get_metrics, span as _span
 from ..tensor.sparse import SparseTensor
-from .blocks import BlockedLayout, BlockId, assemble_from_blocks, split_into_blocks
+from .blocks import BlockedLayout, BlockId, sort_by_block
 from .catalog import Catalog, TensorEntry
 
 _NAME_PATTERN = re.compile(r"^[A-Za-z0-9_.-]+$")
+DATA_FILE = "cells.bin"
 
 
-def _block_digest(coords, values, shape) -> str:
-    """Content checksum over a block's payload arrays.  Stored inside
-    each block ``.npz`` so a flipped bit on disk is detected at read
-    time instead of silently feeding garbage into a decomposition."""
-    digest = hashlib.sha256()
-    for array in (
-        np.ascontiguousarray(coords),
-        np.ascontiguousarray(values),
-        np.asarray(shape, dtype=np.int64),
-    ):
-        digest.update(str(array.dtype).encode())
-        digest.update(str(array.shape).encode())
-        digest.update(array.tobytes())
+def _block_digest(raw, offsets: Sequence[int], row: int, i: int) -> str:
+    """SHA-256 of block ``i``'s coordinate and value bytes in the
+    packed buffer ``raw`` (``row`` bytes of coordinates per cell)."""
+    start, end = offsets[i], offsets[i + 1]
+    base = offsets[-1] * row
+    digest = hashlib.sha256(raw[start * row:end * row])
+    digest.update(raw[base + 8 * start:base + 8 * end])
     return digest.hexdigest()
 
 
@@ -51,24 +54,13 @@ class BlockTensorStore:
         self.directory.mkdir(parents=True, exist_ok=True)
         self.catalog = Catalog(self.directory)
 
-    # ------------------------------------------------------------------
-    # paths
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _check_name(name: str) -> str:
-        if not _NAME_PATTERN.match(name):
+    def _data_path(self, name: str) -> Path:
+        if not _NAME_PATTERN.match(name) or set(name) == {"."}:
             raise StorageError(
                 f"invalid tensor name {name!r}; use letters, digits, "
                 "'_', '-', '.'"
             )
-        return name
-
-    def _tensor_dir(self, name: str) -> Path:
-        return self.directory / self._check_name(name)
-
-    def _block_path(self, name: str, block_id: BlockId) -> Path:
-        suffix = "_".join(str(int(i)) for i in block_id)
-        return self._tensor_dir(name) / f"block_{suffix}.npz"
+        return self.directory / name / DATA_FILE
 
     # ------------------------------------------------------------------
     # write
@@ -85,7 +77,7 @@ class BlockTensorStore:
         ``block_shape`` defaults to splitting each mode in (at most)
         four tiles.  Refuses to overwrite unless asked.
         """
-        self._check_name(name)
+        path = self._data_path(name)
         if name in self.catalog and not overwrite:
             raise StorageError(
                 f"tensor {name!r} already stored (pass overwrite=True)"
@@ -97,41 +89,42 @@ class BlockTensorStore:
             "store-put", "storage", tensor=name, nnz=tensor.nnz,
             shape=tensor.shape,
         ) as sp:
-            blocks = split_into_blocks(tensor, layout)
-            tensor_dir = self._tensor_dir(name)
-            if tensor_dir.exists():
-                for stale in tensor_dir.glob("block_*.npz"):
-                    stale.unlink()
-            tensor_dir.mkdir(parents=True, exist_ok=True)
+            order, starts, block_ids = sort_by_block(layout, tensor.coords)
+            offsets = [int(i) for i in starts] + [tensor.nnz]
+            row = 8 * len(tensor.shape)
+            payload = (tensor.coords[order].tobytes()
+                       + tensor.values[order].tobytes())
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+            try:
+                with os.fdopen(fd, "wb") as handle:
+                    handle.write(payload)
+                os.replace(tmp, path)
+            except BaseException:
+                os.unlink(tmp)
+                raise
+            view = memoryview(payload)
+            digests = [_block_digest(view, offsets, row, i)
+                       for i in range(len(block_ids))]
             metrics = get_metrics()
-            bytes_written = 0
-            for block_id, block in blocks.items():
-                path = self._block_path(name, block_id)
-                np.savez_compressed(
-                    path,
-                    coords=block.coords,
-                    values=block.values,
-                    shape=np.asarray(block.shape, dtype=np.int64),
-                    checksum=np.asarray(
-                        _block_digest(block.coords, block.values, block.shape)
-                    ),
-                )
-                block_bytes = path.stat().st_size
-                bytes_written += block_bytes
-                metrics.histogram("storage.block_bytes").observe(block_bytes)
+            sizes = metrics.histogram("storage.block_bytes")
+            for start, end in zip(offsets, offsets[1:]):
+                sizes.observe((end - start) * (row + 8))
             entry = TensorEntry(
                 name=name,
                 shape=tensor.shape,
                 block_shape=layout.block_shape,
                 nnz=tensor.nnz,
-                n_blocks=len(blocks),
-                block_ids=sorted(blocks),
+                n_blocks=len(block_ids),
+                block_ids=block_ids,
+                offsets=offsets,
+                digests=digests,
             )
             self.catalog.put(entry)
-            sp.set(n_blocks=len(blocks), bytes_written=bytes_written)
+            sp.set(n_blocks=len(block_ids), bytes_written=len(payload))
             metrics.counter("storage.puts").inc()
-            metrics.counter("storage.blocks_written").inc(len(blocks))
-            metrics.counter("storage.bytes_serialized").inc(bytes_written)
+            metrics.counter("storage.blocks_written").inc(len(block_ids))
+            metrics.counter("storage.bytes_serialized").inc(len(payload))
         return entry
 
     # ------------------------------------------------------------------
@@ -141,31 +134,76 @@ class BlockTensorStore:
         entry = self.catalog.get(name)
         return BlockedLayout(entry.shape, entry.block_shape)
 
-    def get_block(self, name: str, block_id: BlockId) -> SparseTensor:
-        """Load one block (empty tensor if the block has no cells).
+    def _read(
+        self, entry: TensorEntry, positions: Sequence[int]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Global coordinates and values of the blocks at ``positions``
+        (indices into ``entry.block_ids``, ascending), every one of
+        their digests checked before any cell is returned.
 
-        Blocks the catalog says exist must be present and pass their
-        checksum; a missing file, an unreadable ``.npz``, or a payload
-        that no longer matches its stored digest raises
-        :class:`~repro.exceptions.BlockCorruptionError` — never a
-        silently-empty tensor feeding garbage downstream.
+        Every read path resolves the catalog entry once per request
+        and hands it here — the ``storage.catalog_lookups`` guard.
         """
+        ndim = len(entry.shape)
+        if not positions:
+            return np.empty((0, ndim), np.int64), np.empty(0, np.float64)
+        offsets, row = entry.offsets, 8 * ndim
+        path = self._data_path(entry.name)
+        metrics = get_metrics()
+
+        def corrupt(position: int, reason: str) -> BlockCorruptionError:
+            metrics.counter("storage.block_corruptions").inc()
+            return BlockCorruptionError(
+                entry.name, entry.block_ids[position], reason
+            )
+
+        injector = get_injector()
+        if injector.enabled:
+            # raise/crash/delay fire here; "corrupt" flips bytes inside
+            # the block's coordinates so the digest check must catch it.
+            for i in positions:
+                injector.fire(
+                    "storage.block-read", f"{entry.name}/{entry.block_ids[i]}",
+                    path=path, byte_range=(offsets[i] * row,
+                                           offsets[i + 1] * row),
+                )
+        expected = offsets[-1] * (row + 8)
+        try:
+            raw = np.asarray(np.memmap(path, dtype=np.uint8, mode="r"))
+        except FileNotFoundError:
+            raise corrupt(positions[0], "packed data file is missing") from None
+        except (OSError, ValueError) as exc:
+            raise corrupt(
+                positions[0], f"unreadable data file: {exc}"
+            ) from exc
+        if raw.size != expected:
+            raise corrupt(
+                positions[0],
+                f"unreadable data file: {raw.size} bytes, expected "
+                f"{expected}",
+            )
+        view = memoryview(raw)
+        for i in positions:
+            if _block_digest(view, offsets, row, i) != entry.digests[i]:
+                raise corrupt(i, "checksum mismatch")
+        metrics.counter("storage.block_reads").inc(len(positions))
+        cells = offsets[-1]
+        coords = raw[:cells * row].view(np.int64).reshape(cells, ndim)
+        values = raw[cells * row:].view(np.float64)
+        spans = ([slice(0, cells)] if len(positions) == entry.n_blocks
+                 else [slice(offsets[i], offsets[i + 1]) for i in positions])
+        metrics.counter("storage.bytes_deserialized").inc(
+            sum(s.stop - s.start for s in spans) * (row + 8)
+        )
+        return (np.concatenate([coords[s] for s in spans]),
+                np.concatenate([values[s] for s in spans]))
+
+    def get_block(self, name: str, block_id: BlockId) -> SparseTensor:
+        """Load one block in local coordinates (an empty tensor if the
+        block has no cells); a catalogued block that is missing or
+        fails its digest raises :class:`BlockCorruptionError`."""
         entry = self.catalog.get(name)
         layout = BlockedLayout(entry.shape, entry.block_shape)
-        return self._read_block(entry, layout, block_id)
-
-    def _read_block(
-        self, entry: TensorEntry, layout: BlockedLayout, block_id: BlockId
-    ) -> SparseTensor:
-        """The block-read body behind :meth:`get_block`.
-
-        Takes the already-resolved catalog entry and layout so the
-        multi-block request paths (``get`` / ``iter_blocks`` /
-        ``slice_query``) resolve them *once per request* instead of
-        once per block — the hot-path contract the
-        ``storage.catalog_lookups`` micro-benchmark guard pins.
-        """
-        name = entry.name
         block_id = tuple(int(i) for i in block_id)
         grid = layout.grid_shape
         if len(block_id) != len(grid) or any(
@@ -174,65 +212,37 @@ class BlockTensorStore:
             raise StorageError(
                 f"block id {block_id} outside grid {grid} of {name!r}"
             )
-        path = self._block_path(name, block_id)
-        metrics = get_metrics()
-        metrics.counter("storage.block_reads").inc()
-        catalogued = block_id in set(map(tuple, entry.block_ids))
-        injector = get_injector()
-        if injector.enabled:
-            # raise/crash/delay fire here; a "corrupt" decision flips
-            # bytes in the block file so the real checksum path below
-            # is what detects it.
-            injector.fire(
-                "storage.block-read", f"{name}/{block_id}", path=path
-            )
-        if not path.exists():
-            if catalogued:
-                metrics.counter("storage.block_corruptions").inc()
-                raise BlockCorruptionError(
-                    name, block_id, "catalogued block file is missing"
-                )
-            return SparseTensor(layout.block_extent(block_id))
-        metrics.counter("storage.bytes_deserialized").inc(path.stat().st_size)
-        try:
-            with np.load(path) as data:
-                shape = tuple(int(s) for s in data["shape"])
-                coords = data["coords"]
-                values = data["values"]
-                if "checksum" in data.files:
-                    expected = str(data["checksum"])
-                    actual = _block_digest(coords, values, shape)
-                    if actual != expected:
-                        raise BlockCorruptionError(
-                            name, block_id, "checksum mismatch"
-                        )
-            return SparseTensor(shape, coords, values)
-        except BlockCorruptionError:
-            metrics.counter("storage.block_corruptions").inc()
-            raise
-        except Exception as exc:
-            metrics.counter("storage.block_corruptions").inc()
-            raise BlockCorruptionError(
-                name, block_id, f"unreadable block file: {exc}"
-            ) from exc
+        position = bisect_left(entry.block_ids, block_id)
+        stored = entry.block_ids[position:position + 1] == [block_id]
+        coords, values = self._read(entry, [position] if stored else [])
+        return SparseTensor(
+            layout.block_extent(block_id),
+            coords - layout.block_origin(block_id), values,
+        )
 
     def iter_blocks(self, name: str) -> Iterator[Tuple[BlockId, SparseTensor]]:
+        """Every stored block in local coordinates, in block-id order;
+        all digests are checked before the first block is yielded."""
         entry = self.catalog.get(name)
         layout = BlockedLayout(entry.shape, entry.block_shape)
-        for block_id in entry.block_ids:
-            yield block_id, self._read_block(entry, layout, block_id)
+        coords, values = self._read(entry, range(entry.n_blocks))
+        for block_id, start, end in zip(
+            entry.block_ids, entry.offsets, entry.offsets[1:]
+        ):
+            yield block_id, SparseTensor(
+                layout.block_extent(block_id),
+                coords[start:end] - layout.block_origin(block_id),
+                values[start:end],
+            )
 
     def get(self, name: str) -> SparseTensor:
-        """Load and reassemble the full tensor."""
+        """Load the full tensor."""
         with _span("store-get", "storage", tensor=name) as sp:
             entry = self.catalog.get(name)
-            layout = BlockedLayout(entry.shape, entry.block_shape)
-            blocks: Dict[BlockId, SparseTensor] = {
-                block_id: self._read_block(entry, layout, block_id)
-                for block_id in entry.block_ids
-            }
-            tensor = assemble_from_blocks(layout, blocks)
-            sp.set(n_blocks=len(blocks), nnz=tensor.nnz)
+            tensor = SparseTensor(
+                entry.shape, *self._read(entry, range(entry.n_blocks))
+            )
+            sp.set(n_blocks=entry.n_blocks, nnz=tensor.nnz)
             get_metrics().counter("storage.gets").inc()
             return tensor
 
@@ -243,43 +253,30 @@ class BlockTensorStore:
             "store-slice-query", "storage", tensor=name, mode=mode, index=index,
         ) as sp:
             entry = self.catalog.get(name)
-            layout = BlockedLayout(entry.shape, entry.block_shape)
-            stored = set(entry.block_ids)
-            coords_parts, values_parts = [], []
-            blocks_read = 0
-            for block_id in layout.blocks_touching_slice(mode, index):
-                if block_id not in stored:
-                    continue
-                block = self._read_block(entry, layout, block_id)
-                blocks_read += 1
-                origin = layout.block_origin(block_id)
-                local_index = index - origin[mode]
-                mask = block.coords[:, mode] == local_index
-                if mask.any():
-                    coords_parts.append(block.coords[mask] + origin[None, :])
-                    values_parts.append(block.values[mask])
-            sp.set(blocks_read=blocks_read)
+            tile = BlockedLayout(entry.shape, entry.block_shape).slice_tile(
+                mode, index
+            )
+            ids = np.asarray(entry.block_ids, np.int64).reshape(
+                entry.n_blocks, len(entry.shape)
+            )
+            positions = np.flatnonzero(ids[:, mode] == tile).tolist()
+            coords, values = self._read(entry, positions)
+            on_slice = coords[:, mode] == index
+            sp.set(blocks_read=len(positions))
             get_metrics().counter("storage.slice_queries").inc()
-            if not coords_parts:
-                return SparseTensor(entry.shape)
             return SparseTensor(
-                entry.shape,
-                np.vstack(coords_parts),
-                np.concatenate(values_parts),
+                entry.shape, coords[on_slice], values[on_slice]
             )
 
     # ------------------------------------------------------------------
     # manage
     # ------------------------------------------------------------------
     def delete(self, name: str) -> None:
-        entry = self.catalog.remove(name)
-        tensor_dir = self._tensor_dir(name)
-        for block_id in entry.block_ids:
-            path = self._block_path(name, block_id)
-            if path.exists():
-                path.unlink()
-        if tensor_dir.exists() and not any(tensor_dir.iterdir()):
-            tensor_dir.rmdir()
+        path = self._data_path(name)
+        self.catalog.remove(name)
+        path.unlink(missing_ok=True)
+        if path.parent.exists() and not any(path.parent.iterdir()):
+            path.parent.rmdir()
 
     def names(self):
         return self.catalog.names()

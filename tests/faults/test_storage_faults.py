@@ -11,6 +11,7 @@ from repro.exceptions import (
 from repro.faults import FaultInjector, FaultSpec, plan_of, use_injector
 from repro.observability.metrics import MetricsRegistry, use_metrics
 from repro.storage import BlockTensorStore
+from repro.storage.store import DATA_FILE
 from repro.tensor import SparseTensor
 
 
@@ -58,35 +59,75 @@ class TestInjectedCorruption:
         assert injector.summary()["injected"] == 1
 
 
+def _data_file(store):
+    return store.directory / "t" / DATA_FILE
+
+
+def _corruptions(registry):
+    return registry.counter("storage.block_corruptions").value
+
+
 class TestRealCorruption:
     def test_missing_catalogued_block_file(self, store):
-        path = store._block_path("t", (0, 0, 0))
-        path.unlink()
-        with pytest.raises(BlockCorruptionError, match="missing"):
-            store.get_block("t", (0, 0, 0))
+        _data_file(store).unlink()
+        registry = MetricsRegistry()
+        with use_metrics(registry):
+            with pytest.raises(BlockCorruptionError, match="missing") as exc:
+                store.get_block("t", (0, 0, 0))
+        assert exc.value.tensor == "t"
+        assert exc.value.block_id == (0, 0, 0)
+        assert _corruptions(registry) == 1
 
     def test_truncated_block_file(self, store):
-        path = store._block_path("t", (1, 0, 1))
+        path = _data_file(store)
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) // 2])
-        with pytest.raises(BlockCorruptionError, match="unreadable"):
-            store.get_block("t", (1, 0, 1))
+        registry = MetricsRegistry()
+        with use_metrics(registry):
+            with pytest.raises(BlockCorruptionError, match="unreadable") as exc:
+                store.get_block("t", (1, 0, 1))
+        assert exc.value.block_id == (1, 0, 1)
+        assert _corruptions(registry) == 1
 
     def test_checksum_catches_silent_tampering(self, store):
-        """Rewrite a block with altered values but the stale checksum:
-        the zip container stays valid, the content digest does not."""
-        path = store._block_path("t", (0, 1, 0))
-        with np.load(path) as data:
-            contents = {name: data[name] for name in data.files}
-        contents["values"] = contents["values"] + 1.0
-        np.savez_compressed(path, **contents)
-        with pytest.raises(BlockCorruptionError, match="checksum mismatch"):
-            store.get_block("t", (0, 1, 0))
+        """Change one block's values in place but keep its catalogued
+        digest: the file stays well-formed, the digest does not match."""
+        entry = store.catalog.get("t")
+        position = entry.block_ids.index((0, 1, 0))
+        start, end = entry.offsets[position], entry.offsets[position + 1]
+        values_at = entry.nnz * 8 * len(entry.shape)
+        with open(_data_file(store), "r+b") as handle:
+            handle.seek(values_at + 8 * start)
+            values = np.frombuffer(handle.read(8 * (end - start)))
+            handle.seek(values_at + 8 * start)
+            handle.write((values + 1.0).tobytes())
+        registry = MetricsRegistry()
+        with use_metrics(registry):
+            with pytest.raises(BlockCorruptionError,
+                               match="checksum mismatch") as exc:
+                store.get_block("t", (0, 1, 0))
+            assert exc.value.block_id == (0, 1, 0)
+            assert _corruptions(registry) == 1
+            # Untouched blocks still read, with their stored values.
+            block = store.get_block("t", (1, 1, 1))
+        assert block.nnz == 8
+        assert block.values.min() == 43.0  # cell (2, 2, 2)
+        assert _corruptions(registry) == 1
 
     def test_full_get_surfaces_block_corruption(self, store):
-        store._block_path("t", (0, 0, 0)).unlink()
-        with pytest.raises(BlockCorruptionError):
-            store.get("t")
+        entry = store.catalog.get("t")
+        last = entry.offsets[-2] * 8 * len(entry.shape)
+        with open(_data_file(store), "r+b") as handle:
+            handle.seek(last)
+            handle.write(b"\xff")
+        registry = MetricsRegistry()
+        with use_metrics(registry):
+            with pytest.raises(BlockCorruptionError,
+                               match="checksum mismatch") as exc:
+                store.get("t")
+        assert exc.value.block_id == entry.block_ids[-1]
+        assert _corruptions(registry) == 1
+        assert store.get_block("t", (0, 0, 0)).nnz == 8
 
 
 class TestTypedLookupErrors:

@@ -5,6 +5,8 @@ import pytest
 
 from repro.exceptions import ServingError, StudyNotFoundError
 from repro.serving import StudyCatalog
+from repro.tensor import SparseTensor
+from repro.tensor.tucker import hosvd
 
 from .conftest import make_sparse
 
@@ -108,3 +110,18 @@ class TestBundleLifecycle:
         dense = np.zeros(tensor.shape)
         dense[tuple(tensor.coords.T)] = tensor.values
         assert abs(new_value) > 1.0  # reflects the +100 shift
+
+    def test_same_shape_new_values_serve_new_factors(self, tmp_path):
+        """Same shape, same cells, new values: only the content tells
+        the two ensembles apart, so the bundle address must follow the
+        content or the disk tier keeps serving the old factors."""
+        catalog = StudyCatalog(tmp_path / "serving")
+        old = make_sparse((6, 6, 6), seed=3)
+        catalog.register("s", old, ranks=[2, 2, 2])
+        catalog.engine("s")  # warm both cache tiers
+        values = np.random.default_rng(4).standard_normal(old.nnz)
+        new = SparseTensor(old.shape, old.coords, values)
+        catalog.register("s", new, ranks=[2, 2, 2], overwrite=True)
+        served = catalog.engine("s").tucker.reconstruct()
+        assert np.allclose(served, hosvd(new, [2, 2, 2]).reconstruct())
+        assert not np.allclose(served, hosvd(old, [2, 2, 2]).reconstruct())

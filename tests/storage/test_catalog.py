@@ -55,3 +55,16 @@ class TestCatalog:
         restored = TensorEntry.from_json(raw["tensors"]["t"])
         assert restored.shape == (4, 5)
         assert isinstance(restored.block_ids[0], tuple)
+
+    def test_per_block_npz_catalog_rejected(self, tmp_path):
+        """A catalog written for the per-block ``.npz`` layout (version
+        1, no offsets or digests) is refused with a typed error telling
+        the user to store the tensors again, never half-read."""
+        record = entry().to_json()
+        del record["offsets"], record["digests"]
+        (tmp_path / "catalog.json").write_text(
+            json.dumps({"version": 1, "tensors": {"t": record}})
+        )
+        with pytest.raises(StorageError, match="store the tensors again"):
+            Catalog(tmp_path)
+

@@ -45,6 +45,12 @@ class TestPutGet:
         with pytest.raises(StorageError):
             store.put("../escape", tensor)
 
+    @pytest.mark.parametrize("name", ["..", "."])
+    def test_dot_names_rejected(self, store, tensor, name):
+        # ".." would put the tensor's file in the store's parent.
+        with pytest.raises(StorageError, match="invalid tensor name"):
+            store.put(name, tensor)
+
     def test_unknown_name(self, store):
         with pytest.raises(StorageError):
             store.get("nope")
